@@ -175,10 +175,7 @@ func BenchmarkSimulator(b *testing.B) {
 }
 
 // BenchmarkSimulatorPolicies measures what users get from each dispatch
-// policy at the same load. Note the sqd row resolves to the concrete fast
-// path (it IS the default wiring), not the interface loop — the
-// interface-dispatch cost gauge is BenchmarkSimulatorWorkloads' M/M-fast
-// vs M/M-pluggable pair.
+// policy at the same load.
 func BenchmarkSimulatorPolicies(b *testing.B) {
 	p := sqd.Params{N: 50, D: 10, Rho: 0.9}
 	for _, pol := range []workload.Policy{
@@ -200,36 +197,26 @@ func BenchmarkSimulatorPolicies(b *testing.B) {
 }
 
 // BenchmarkSimulatorWorkloads measures the event loop across the
-// arrival/service grid (policy fixed at the paper's SQ(d)). The first two
-// rows run the *same physical system*: "M/M-fast" resolves to the concrete
-// default loop, while "M/M-pluggable" forces the interface loop via an
-// explicit all-ones speed vector — their gap is the whole cost of workload
-// pluggability, paid only by non-default configurations.
+// arrival/service grid (policy fixed at the paper's SQ(d)).
 func BenchmarkSimulatorWorkloads(b *testing.B) {
 	p := sqd.Params{N: 50, D: 10, Rho: 0.9}
 	pareto, err := workload.NewBoundedPareto(1.5, 1000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	unit := make([]float64, p.N)
-	for i := range unit {
-		unit[i] = 1
-	}
 	for _, cfg := range []struct {
 		name    string
 		arrival workload.Arrival
 		service workload.Service
-		speeds  []float64
 	}{
-		{"M/M-fast", workload.Poisson{}, workload.Exponential{}, nil},
-		{"M/M-pluggable", workload.Poisson{}, workload.Exponential{}, unit},
-		{"D/Er4", workload.DeterministicArrivals{}, workload.ErlangService{K: 4}, nil},
-		{"H2/M", workload.HyperExp{CV2: 9}, workload.Exponential{}, nil},
-		{"M/Pareto", workload.Poisson{}, pareto, nil},
+		{"M/M-fast", workload.Poisson{}, workload.Exponential{}},
+		{"D/Er4", workload.DeterministicArrivals{}, workload.ErlangService{K: 4}},
+		{"H2/M", workload.HyperExp{CV2: 9}, workload.Exponential{}},
+		{"M/Pareto", workload.Poisson{}, pareto},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := sim.Options{Jobs: 100_000, Seed: uint64(i) + 1, Arrival: cfg.arrival, Service: cfg.service, Speeds: cfg.speeds}
+				opts := sim.Options{Jobs: 100_000, Seed: uint64(i) + 1, Arrival: cfg.arrival, Service: cfg.service}
 				if _, err := sim.Run(p, opts); err != nil {
 					b.Fatal(err)
 				}

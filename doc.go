@@ -201,32 +201,34 @@
 //
 // The discrete-event simulator is the cost floor under every sweep the
 // analytic side cannot reach, so its event core is engineered and
-// benchmarked like the live dispatch path. Three loops exist, all
-// producing identical draws for identical wirings (pinned by equivalence
-// tests and the pre-workload bit-identity goldens): a hand-specialized
-// loop for the paper's default wiring (Poisson × exponential × SQ(d),
-// any speeds), a generics-stenciled typed loop covering every built-in
-// arrival law × service law × policy with concrete samplers and
-// pickers, and the interface loop that still serves exotic user-supplied
-// workload implementations. Draws come from internal/frand, a concrete
-// PCG re-derivation of math/rand/v2's exact streams (bit-identity pinned
-// in that package), so the hot loops pay no rand.Source dispatch.
+// benchmarked like the live dispatch path. One event loop serves every
+// wiring: it is stenciled per (arrival law, service law) pair, so each
+// built-in law's draw is a direct call to a concrete sampler, and each
+// built-in policy is a concrete picker (SQ(2), the paper's setting, is
+// unrolled inside its picker). User-supplied workload implementations,
+// and the policy of every churn run, ride the same loop through small
+// adapters that call the workload interfaces on a *rand.Rand over the
+// same generator; equivalence tests, parent-captured goldens and the
+// pre-workload bit-identity goldens pin all of it draw for draw. Churn
+// is a third event source behind one compare, the way tracing is one
+// nil check. Draws come from internal/frand, a concrete PCG
+// re-derivation of math/rand/v2's exact streams (bit-identity pinned in
+// that package), so the hot loop pays no rand.Source dispatch.
 //
 // The completion tracker — "which server finishes next" — was rebuilt
 // from a container/heap binary heap (three interface calls per sift
-// level, ~half of all event time at N ≥ 250) into measured concrete
-// contenders: a flat scan (wins at N ≤ 8), a 4-ary indexed min-heap and
-// a 4-ary (key, id) tournament tree (both branch-free over the integer
-// bit patterns of the completion times), and a calendar queue that
-// exploits the event loop's monotone re-key pattern for amortized O(1)
-// updates (wins at N ≥ 512 under light-tailed service; the tournament
-// tree takes the mid range and heavy-tailed laws, whose deep keys defeat
-// the calendar's window sweep). BenchmarkTracker records the crossover;
-// internal/sim/tracker.go documents why each loser lost.
+// level, ~half of all event time at N ≥ 250) into three concrete modes:
+// a flat scan (N ≤ 8), a 4-ary (key, id) tournament tree (branch-free
+// over the integer bit patterns of the completion times; the mid range
+// and heavy-tailed laws, whose deep keys defeat the calendar's window
+// sweep), and a calendar queue that exploits the event loop's monotone
+// re-key pattern for amortized O(1) updates (N ≥ 512 under light-tailed
+// service). BenchmarkTracker records the crossovers;
+// internal/sim/tracker.go documents the design.
 //
 // scripts/bench_sim.sh runs BenchmarkSimJobs — {fast, fast-hist,
-// pluggable-default, jsq-indexed, lwl-work-aware} × N ∈ {10, 250, 1000,
-// 10000} at ρ = 0.9 (fast vs fast-hist is the sketch-vs-histogram tail
+// jsq-indexed, lwl-work-aware} × N ∈ {10, 250, 1000, 10000} at
+// ρ = 0.9 (fast vs fast-hist is the sketch-vs-histogram tail
 // estimator axis) — and writes BENCH_sim.json at the repository root:
 // one record per configuration with ns/job, events/sec (one measured
 // job = one arrival plus one departure event, so events/sec =

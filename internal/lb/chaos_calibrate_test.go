@@ -80,6 +80,15 @@ func TestChaosCalibrationRecovery(t *testing.T) {
 	time.Sleep(2 * time.Second) // past the empty-start transient
 	healthy, jh := window(3 * time.Second)
 
+	// Crash at an instant when server 1 or 3 holds work. At per-server
+	// ρ 0.45 both are idle at a random instant about a third of the
+	// time, and crashing two idle servers requeues nothing, which the
+	// requeue check below would misread as a broken crash path.
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+		if lens := lb.QueueLens(); lens[1] > 0 || lens[3] > 0 {
+			break
+		}
+	}
 	for i := 0; i < k; i++ {
 		if err := lb.Crash(2*i + 1); err != nil { // servers 1 and 3
 			t.Fatal(err)

@@ -123,14 +123,14 @@ func (lb *LB) Alive() int { return int(lb.alive.Load()) }
 
 // SetSlow degrades server i: service durations multiply by factor
 // until cleared. factor 1 clears the degradation; factor < 1 is a
-// speed-up (allowed — useful for asymmetry experiments). Applies to
-// services that start after the call.
+// speed-up (allowed — useful for asymmetry experiments); factor must be
+// finite and > 0. Applies to services that start after the call.
 func (lb *LB) SetSlow(i int, factor float64) error {
 	if i < 0 || i >= lb.n {
 		return fmt.Errorf("lb: server %d out of range [0, %d)", i, lb.n)
 	}
-	if !(factor > 0) {
-		return fmt.Errorf("lb: slow factor %v, need > 0", factor)
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		return fmt.Errorf("lb: slow factor %v, need a finite factor > 0", factor)
 	}
 	lb.memberMu.Lock()
 	defer lb.memberMu.Unlock()

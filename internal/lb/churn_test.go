@@ -3,6 +3,7 @@ package lb
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,6 +278,11 @@ func TestSlowFactorStretchesService(t *testing.T) {
 	lb, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := lb.SetSlow(0, bad); err == nil {
+			t.Errorf("SetSlow(0, %v) accepted", bad)
+		}
 	}
 	if err := lb.SetSlow(0, 20); err != nil {
 		t.Fatal(err)

@@ -26,8 +26,8 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 	internalDir := filepath.Dir(filepath.Dir(self)) // .../internal
 
 	required := map[string][]string{
-		// The measured event loops themselves.
-		"sim/loop.go": {"runTyped", "runDefault", "flush", "workAt", "noteWork"},
+		// The measured event loop itself.
+		"sim/loop.go": {"runTyped", "flush", "svcTime", "workAt", "noteLen", "noteWork"},
 		// The per-departure accumulators the loops flush into: the batched
 		// stream entry point and the quantile sketch behind it (Add per
 		// observation, addCount/collapse its internals, Merge on the
@@ -39,7 +39,7 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 		// put allocations on some policy's event path).
 		"sim/pick.go": {"pick"},
 		// Completion trackers: the mode-selected implementations.
-		"sim/tracker.go":  {"min", "update", "up", "down", "min4"},
+		"sim/tracker.go":  {"min", "update", "min4"},
 		"sim/calendar.go": {"min", "update", "bucket", "recompute"},
 		// The min-index trees behind jsq-indexed and lwl-work-aware.
 		"minindex/minindex.go": {"Update", "Argmin", "combine"},

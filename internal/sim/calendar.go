@@ -5,15 +5,16 @@ import (
 	"math/bits"
 )
 
-// calTracker is the calendar-queue completion tracker — the contender
-// that won the production slot at large N (see BenchmarkTracker and
-// doc.go "Simulator performance").
+// calTracker is the calendar-queue completion tracker — the mode that
+// serves large light-tailed farms (see BenchmarkTracker and doc.go
+// "Simulator performance").
 //
-// It exploits an invariant both event loops honour: the tracker is only
+// It exploits an invariant the event loop honours: the tracker is only
 // ever asked to (a) re-key the *current minimum* — a departure moves the
 // completing server to a later completion or to idle — or (b) give an
 // idle server its first completion. No decrease-key of interior
-// elements, no deletion of non-minimal elements. That makes the tracker
+// elements; the only deletion of a non-minimal element is a churn crash,
+// which the chain unlink handles like any removal. That makes the tracker
 // a monotone priority queue, the regime where Brown's calendar queue
 // does O(1) amortized work per event against the Θ(log N) sift every
 // tree pays: completions hash into time buckets of width ~1/N, inserts

@@ -3,9 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
-	"finitelb/internal/stats"
 	"finitelb/internal/workload"
 )
 
@@ -18,11 +16,13 @@ import (
 // scenario replays here seed-deterministically (see Options.Churn).
 
 // validateChurn checks a schedule against the farm size and returns a
-// defensive copy, nil for no churn. Every event needs an explicit
-// server (internal/chaos.Resolve assigns them deterministically);
-// stall/pause/resume have wall-clock semantics with no model-time
-// analogue and are rejected. Membership is tracked through the
-// schedule so a run can never go all-down or double-fault.
+// defensive copy, nil for no churn. Times must be finite and ≥ 0 and
+// slow factors finite and > 0: a NaN time never fires (and blocks every
+// later event), and a zero or infinite factor stops a server for good.
+// Every event needs an explicit server (internal/chaos.Resolve assigns
+// them deterministically); stall/pause/resume have wall-clock semantics
+// with no model-time analogue and are rejected. Membership is tracked
+// through the schedule so a run can never go all-down or double-fault.
 func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	if c == nil || len(c.Events) == 0 {
 		return nil, nil
@@ -33,6 +33,12 @@ func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	alive := n
 	last := math.Inf(-1)
 	for k, ev := range evs {
+		if !(ev.T >= 0) || math.IsInf(ev.T, 1) {
+			return nil, fmt.Errorf("sim: churn event #%d (%v) has time %v, need a finite T ≥ 0", k, ev, ev.T)
+		}
+		if ev.Kind == workload.ChurnSlow && (!(ev.Factor > 0) || math.IsInf(ev.Factor, 1)) {
+			return nil, fmt.Errorf("sim: churn event #%d (%v) has slow factor %v, need a finite factor > 0", k, ev, ev.Factor)
+		}
 		if ev.T < last {
 			return nil, fmt.Errorf("sim: churn event #%d (%v) is out of time order", k, ev)
 		}
@@ -68,13 +74,24 @@ func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	return evs, nil
 }
 
+// nextChurn is the time of the next scheduled churn event, +Inf once
+// the schedule is exhausted (and always on churn-free runs).
+//
+//finitelb:hotpath
+func (st *loopState) nextChurn() float64 {
+	if st.ci < len(st.churn) {
+		return st.churn[st.ci].T
+	}
+	return math.Inf(1)
+}
+
 // rebuildLive regenerates the compact live-server list after a
 // membership change.
-func (f *farm) rebuildLive() {
-	f.live = f.live[:0]
-	for i := range f.servers {
-		if !f.down[i] {
-			f.live = append(f.live, i)
+func (st *loopState) rebuildLive() {
+	st.live = st.live[:0]
+	for i, d := range st.down {
+		if !d {
+			st.live = append(st.live, i)
 		}
 	}
 }
@@ -83,10 +100,10 @@ func (f *farm) rebuildLive() {
 // from — the backstop for policies whose pick doesn't read queue
 // lengths (round-robin, random) and so can land on a down server
 // despite the masked view.
-func (f *farm) nextAlive(from int) int {
-	n := len(f.servers)
+func (st *loopState) nextAlive(from int) int {
+	n := len(st.down)
 	for k := 1; k <= n; k++ {
-		if i := (from + k) % n; !f.down[i] {
+		if i := (from + k) % n; !st.down[i] {
 			return i
 		}
 	}
@@ -99,23 +116,23 @@ func (f *farm) nextAlive(from int) int {
 // uniform tie-breaking. Sampling from the survivors (rather than all N
 // with dead entries masked) is what keeps SQ(d)'s law — and the QBD
 // bracket solved at (alive, ρ·N/alive) — intact through churn.
-func (f *farm) pickSQDLive(rng *rand.Rand, d int) int {
-	live := f.live
+func (st *loopState) pickSQDLive(d int) int {
+	live := st.live
 	m := len(live)
 	if d > m {
 		d = m
 	}
-	best, bestLen, ties := -1, math.MaxInt, 0
+	best, bestLen, ties := -1, int32(math.MaxInt32), 0
 	for k := 0; k < d; k++ {
-		j := k + rng.IntN(m-k)
+		j := k + st.std.IntN(m-k)
 		live[k], live[j] = live[j], live[k]
 		s := live[k]
-		switch l := f.servers[s].length(); {
+		switch l := st.qlen[s]; {
 		case l < bestLen:
 			best, bestLen, ties = s, l, 1
 		case l == bestLen:
 			ties++
-			if rng.IntN(ties) == 0 {
+			if st.std.IntN(ties) == 0 {
 				best = s
 			}
 		}
@@ -123,41 +140,41 @@ func (f *farm) pickSQDLive(rng *rand.Rand, d int) int {
 	return best
 }
 
-// pickLive routes one job on a possibly-degraded farm. Churn-free runs
-// (downCnt always 0) go straight to the policy picker with the exact
-// historical draw sequence.
-func pickLive(rng *rand.Rand, picker workload.Picker, queues workload.Queues, wf *farm, sqdD int) int {
-	if wf.downCnt > 0 && sqdD > 0 {
-		return wf.pickSQDLive(rng, sqdD)
+// note re-keys server i in whichever min-index is active.
+func (st *loopState) note(i int) {
+	if st.lenTree != nil {
+		st.noteLen(i)
 	}
-	best := picker.Pick(rng, queues)
-	if wf.downCnt > 0 && wf.down[best] {
-		best = wf.nextAlive(best)
+	if st.workTree != nil {
+		st.noteWork(i)
 	}
-	return best
 }
 
-// applyChurnSim applies one schedule event to the farm at model time
-// ev.T. Allocation here is fine — churn events are control-plane-rare
+// applyChurn applies the next schedule event at model time ev.T. A churn
+// run dispatches through ifacePick for the whole run, so the
+// redistribution below routes orphans on the same picker state as the
+// arrivals. Allocation here is fine — churn events are control-plane-rare
 // next to the event loop's per-arrival work.
-func applyChurnSim(ev workload.ChurnEvent, wf *farm, trk *tracker, rng *rand.Rand, svc workload.Service, w *wiring, picker workload.Picker, queues workload.Queues, res *stats.Stream) {
+func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
+	ev := st.churn[st.ci]
+	st.ci++
 	i := ev.Server
 	switch ev.Kind {
 	case workload.ChurnSlow:
-		wf.slow[i] = ev.Factor
+		st.slow[i] = ev.Factor
 		return
 	case workload.ChurnRestore:
-		wf.down[i] = false
-		wf.downCnt--
-		wf.rebuildLive()
-		wf.note(i)
+		st.down[i] = false
+		st.downCnt--
+		st.rebuildLive()
+		st.note(i)
 		return
 	}
 
 	// Crash or leave. Drain the queue into scratch first: the ring only
 	// pops from the head, and a graceful leave keeps the in-service job
 	// (scratch[0]) on the server.
-	sv := &wf.servers[i]
+	sv := &st.servers[i]
 	type orphan struct{ arrived, req float64 }
 	scratch := make([]orphan, 0, sv.length())
 	for sv.length() > 0 {
@@ -170,59 +187,56 @@ func applyChurnSim(ev workload.ChurnEvent, wf *farm, trk *tracker, rng *rand.Ran
 		scratch = append(scratch, o)
 	}
 	sv.pending = 0
+	st.qlen[i] = 0
 	orphans := scratch
 	if ev.Kind == workload.ChurnLeave && len(scratch) > 0 {
-		// The in-service job completes in place; its tracker entry and
-		// completion time are already correct.
+		// The in-service job completes in place; its tracker entry (and,
+		// work-aware, its completion time) are already correct.
 		if sv.work != nil {
 			sv.pushWork(scratch[0].arrived, scratch[0].req)
 		} else {
 			sv.push(scratch[0].arrived)
 		}
+		st.qlen[i] = 1
 		orphans = scratch[1:]
 	} else {
 		// Crash: in-service progress is lost; a re-executed job draws a
 		// fresh requirement at its new service start (under a work-aware
 		// policy the original requirement travels with the job).
 		sv.completion = math.Inf(1)
-		trk.update(i, math.Inf(1))
+		st.trk.update(i, math.Inf(1))
 	}
-	wf.down[i] = true
-	wf.downCnt++
-	wf.rebuildLive()
-	wf.note(i) // masks the server out of the min-indexes
+	st.down[i] = true
+	st.downCnt++
+	st.rebuildLive()
+	st.note(i) // masks the server out of the min-indexes
 
 	// Redistribute the orphans through the dispatch policy at the event
 	// instant, arrival stamps preserved — the lost time surfaces in the
 	// measured sojourns, exactly as live redelivery does.
-	wf.now = ev.T
+	st.now = ev.T
 	for _, o := range orphans {
-		best := pickLive(rng, picker, queues, wf, w.sqdD)
-		tsv := &wf.servers[best]
-		if w.workAware {
+		best := pk.pick(st)
+		tsv := &st.servers[best]
+		if st.workAware {
 			tsv.pushWork(o.arrived, o.req)
-			if tsv.length() == 1 {
-				x := o.req / w.speeds[best]
-				if wf.slow[best] != 1 {
-					x *= wf.slow[best]
-				}
-				tsv.completion = ev.T + x
-				trk.update(best, tsv.completion)
-			} else {
-				tsv.pending += o.req
-			}
 		} else {
 			tsv.push(o.arrived)
-			if tsv.length() == 1 {
-				x := svc.Sample(rng) / w.speeds[best]
-				if wf.slow[best] != 1 {
-					x *= wf.slow[best]
-				}
-				tsv.completion = ev.T + x
-				trk.update(best, tsv.completion)
-			}
 		}
-		wf.note(best)
-		res.ObserveQueue(tsv.length())
+		l := st.qlen[best] + 1
+		st.qlen[best] = l
+		switch {
+		case l > 1:
+			if st.workAware {
+				tsv.pending += o.req
+			}
+		case st.workAware:
+			tsv.completion = ev.T + st.svcTime(best, o.req)
+			st.trk.update(best, tsv.completion)
+		default:
+			st.trk.update(best, ev.T+st.svcTime(best, svc.sample(st.fr)))
+		}
+		st.note(best)
+		st.res.ObserveQueue(int(l))
 	}
 }

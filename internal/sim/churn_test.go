@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,15 @@ func TestChurnValidation(t *testing.T) {
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 2, Server: 1},
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 3, Server: 2},
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 4, Server: 3}), "last live server"},
+		{"negative time", churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: -1, Server: 0}), "finite T"},
+		{"NaN time", churnOf(
+			workload.ChurnEvent{Kind: workload.ChurnCrash, T: math.NaN(), Server: 0},
+			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 5, Server: 1}), "finite T"},
+		{"infinite time", churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: math.Inf(1), Server: 0}), "finite T"},
+		{"negative slow factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0, Factor: -1}), "slow factor"},
+		{"zero slow factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0}), "slow factor"},
+		{"NaN slow factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0, Factor: math.NaN()}), "slow factor"},
+		{"infinite slow factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0, Factor: math.Inf(1)}), "slow factor"},
 		{"out of order", churnOf(
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 5, Server: 0},
 			workload.ChurnEvent{Kind: workload.ChurnRestore, T: 2, Server: 0}), "time order"},
@@ -81,10 +91,11 @@ func TestChurnDeterminism(t *testing.T) {
 }
 
 // TestChurnNeverFiringBitIdentical pins that configuring churn costs
-// nothing but the loop selection: an event beyond the measured horizon
-// forces the interface loop yet never fires, and the result must be
-// bit-equal to the default typed-loop run (the two loops are pinned
-// draw-identical by TestTypedLoopMatchesInterfaceLoop).
+// nothing but the picker selection: an event beyond the measured horizon
+// routes dispatch through the workload picker yet never fires, and the
+// result must be bit-equal to the churn-free run (the concrete and
+// workload pickers are pinned draw-identical by
+// TestTypedLoopMatchesInterfaceLoop).
 func TestChurnNeverFiringBitIdentical(t *testing.T) {
 	p := sqd.Params{N: 6, D: 2, Rho: 0.8}
 	base, err := Run(p, Options{Jobs: 20_000, Seed: 9})
@@ -143,5 +154,26 @@ func TestChurnSlowRaisesDelay(t *testing.T) {
 	if !(slowed.MeanDelay > base.MeanDelay+3*base.HalfWidth) {
 		t.Errorf("4× slow on one of two servers did not raise mean delay: %.4f vs %.4f",
 			slowed.MeanDelay, base.MeanDelay)
+	}
+}
+
+// TestSvcTimeDividesThenSlows pins the order of the two service-time
+// scalings: x/speed·slow and x·slow/speed differ in the last bit for
+// about a third of all draws, too little to move a Result but enough to
+// break draw-for-draw replay of a slowed heterogeneous farm.
+func TestSvcTimeDividesThenSlows(t *testing.T) {
+	st := &loopState{speeds: []float64{3, 1}, slow: []float64{1.7, 1}}
+	differ := 0
+	for i := 1; i < 1000; i++ {
+		x := float64(i) * 0.0123456789
+		if got, want := st.svcTime(0, x), x/3*1.7; got != want {
+			t.Fatalf("svcTime(%v) = %v, want %v", x, got, want)
+		}
+		if x/3*1.7 != x*1.7/3 {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("no draw tells the two orders apart; the test pins nothing")
 	}
 }

@@ -11,10 +11,13 @@ import (
 	"finitelb/internal/workload"
 )
 
-// loopState is the mutable per-stream state shared by every typed-loop
-// instantiation. It persists across run calls, so a stream can be driven
-// in chunks (the allocation-regression tests lean on that) with results
-// bit-identical to one uninterrupted run.
+// loopState is the mutable per-stream state of the event loop. It
+// persists across run calls, so a stream can be driven in chunks (the
+// allocation-regression tests lean on that) with results bit-identical
+// to one uninterrupted run. It is also the dispatcher's farm view: it
+// implements workload.Queues, WorkQueues, ArgminQueues and
+// ArgminWorkQueues for the workload pickers the loop calls through
+// ifacePick.
 type loopState struct {
 	servers []server
 	// qlen mirrors each server's queue length in a dense array: pickers
@@ -26,7 +29,8 @@ type loopState struct {
 	speeds []float64
 	fr     *frand.RNG
 	// std wraps the same generator for code that only speaks *rand.Rand
-	// (the minindex tie-break descents); draws interleave on one stream.
+	// (the minindex tie-break descents and the workload adapters); draws
+	// interleave on one stream.
 	std *rand.Rand
 	trk *tracker
 	res *stats.Stream
@@ -36,10 +40,25 @@ type loopState struct {
 	// and trace-on runs stay seed-deterministic.
 	tr *simTracer
 
-	// Hierarchical min-indexes, mirroring the interface loop's farm trees:
-	// lenTree for indexed JSQ, workTree for indexed LWL, nil otherwise.
+	// Hierarchical min-indexes (nil below minindex.Threshold, or when the
+	// policy doesn't dispatch on a global argmin): lenTree tracks queue
+	// lengths for JSQ, workTree tracks backlog for LWL, so a pick is
+	// O(log N) instead of the O(N) scan that dominates large-N sweeps.
 	lenTree  *minindex.Seq
 	workTree *minindex.Seq
+
+	// Failure-domain state, allocated only for churn runs (nil on every
+	// churn-free path, where each costs one nil check off the hot path).
+	// churn is the remaining schedule from index ci; down marks
+	// departed/crashed servers, downCnt counts them, live is the compact
+	// live-server list the degraded-mode SQ(d) samples from, and slow
+	// holds per-server service-duration multipliers (1 = none).
+	churn   []workload.ChurnEvent
+	ci      int
+	down    []bool
+	downCnt int
+	live    []int
+	slow    []float64
 
 	nextArrival float64
 	departed    int64
@@ -49,7 +68,7 @@ type loopState struct {
 	maxQueue    int
 	workAware   bool
 	// unit marks a homogeneous unit-speed fleet: x/1.0 ≡ x in IEEE
-	// arithmetic, so the loops skip the requirement/speed division — a
+	// arithmetic, so the loop skips the requirement/speed division — a
 	// dependent FDIV feeding the tracker key — without changing a bit.
 	unit    bool
 	started bool
@@ -62,6 +81,7 @@ type loopState struct {
 }
 
 // flush drains the sojourn buffer into the stream.
+//
 //finitelb:hotpath
 func (st *loopState) flush() {
 	if st.bufn > 0 {
@@ -70,8 +90,24 @@ func (st *loopState) flush() {
 	}
 }
 
-// workAt is farm.Work for the typed loop: server i's time-to-drain at the
-// current arrival instant.
+// svcTime converts requirement x into server i's service duration: the
+// speed division first, then any churn slow factor.
+//
+//finitelb:hotpath
+func (st *loopState) svcTime(i int, x float64) float64 {
+	if !st.unit {
+		x /= st.speeds[i]
+	}
+	if st.slow != nil {
+		x *= st.slow[i]
+	}
+	return x
+}
+
+// workAt is server i's time-to-drain at the current arrival instant: the
+// in-service remainder (completion − now, already in time units) plus
+// the queued not-yet-started requirements divided by the server's speed.
+//
 //finitelb:hotpath
 func (st *loopState) workAt(i int) float64 {
 	if st.qlen[i] == 0 {
@@ -85,15 +121,78 @@ func (st *loopState) workAt(i int) float64 {
 	return s.pending/st.speeds[i] + rem
 }
 
-// noteWork re-keys server i in the work index; same key as farm.note.
+// isDown reports whether server i is out of the farm (always false on
+// churn-free runs).
+//
+//finitelb:hotpath
+func (st *loopState) isDown(i int) bool { return st.down != nil && st.down[i] }
+
+// noteLen re-keys server i in the length index. A down server stays
+// masked at +Inf, even when its draining in-service job departs.
+//
+//finitelb:hotpath
+func (st *loopState) noteLen(i int) {
+	k := float64(st.qlen[i])
+	if st.isDown(i) {
+		k = math.Inf(1)
+	}
+	st.lenTree.Update(i, k)
+}
+
+// noteWork re-keys server i in the work index. The key is
+// pending/speed + completion — the absolute-time form of workAt: among
+// busy servers "− now" is a common shift that argmin ignores, and an
+// idle server keys at 0, below every busy server's completion ≥ now ≥ 0.
+// A down server stays masked at +Inf.
+//
 //finitelb:hotpath
 func (st *loopState) noteWork(i int) {
-	if st.qlen[i] == 0 {
+	switch {
+	case st.isDown(i):
+		st.workTree.Update(i, math.Inf(1))
+	case st.qlen[i] == 0:
 		st.workTree.Update(i, 0)
-		return
+	default:
+		s := &st.servers[i]
+		st.workTree.Update(i, s.pending/st.speeds[i]+s.completion)
 	}
-	s := &st.servers[i]
-	st.workTree.Update(i, s.pending/st.speeds[i]+s.completion)
+}
+
+// N implements workload.Queues.
+func (st *loopState) N() int { return len(st.qlen) }
+
+// Len reports a down server as worst-possible, so length-scanning
+// pickers route around it; ifacePick's next-alive probe is then only a
+// backstop for policies that don't read lengths at all.
+func (st *loopState) Len(i int) int {
+	if st.isDown(i) {
+		return math.MaxInt32
+	}
+	return int(st.qlen[i])
+}
+
+// Work implements workload.WorkQueues; a down server reads +Inf.
+func (st *loopState) Work(i int) float64 {
+	if st.isDown(i) {
+		return math.Inf(1)
+	}
+	return st.workAt(i)
+}
+
+// ArgminLen implements workload.ArgminQueues when the length index is on.
+func (st *loopState) ArgminLen(rng *rand.Rand) (int, bool) {
+	if st.lenTree == nil {
+		return 0, false
+	}
+	return st.lenTree.Argmin(rng), true
+}
+
+// ArgminWork implements workload.ArgminWorkQueues when the work index is on.
+func (st *loopState) ArgminWork(rng *rand.Rand) (int, bool) {
+	if st.workTree == nil {
+		return 0, false
+	}
+	return st.workTree.Argmin(rng), true
 }
 
 // typedRunner binds one stenciled loop instantiation to its state.
@@ -102,29 +201,36 @@ type typedRunner struct {
 	run func(jobs int64) // continues the stream until `jobs` measured
 }
 
-// newTypedRunner resolves a wiring onto the devirtualized event loop:
+// newTypedRunner resolves a validated wiring onto the event loop:
 // concrete samplers for the built-in arrival and service laws (stenciled
 // pairwise by the generic loop) and concrete pickers for the built-in
-// policies. It returns nil when any piece is exotic — a user-supplied
-// implementation of the workload interfaces — in which case runStream
-// falls back to the interface loop, which handles every wiring at one
-// virtual hop per draw.
+// policies. A user-supplied implementation of a workload interface — and
+// every policy of a churn run — resolves onto an adapter that calls the
+// interface on st.std instead, at one virtual hop per draw or pick.
 func newTypedRunner(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed uint64) *typedRunner {
+	st := newLoopState(p, w, warmup, res, seed)
+	var pk picker
+	if st.churn == nil {
+		pk = st.newPicker(p, w)
+	}
+	if pk == nil {
+		pk = newIfacePick(p, w)
+	}
+	return &typedRunner{st: st, run: bindArr(st, w, pk)}
+}
+
+// newLoopState builds the per-stream state: server rings, the completion
+// tracker, the min-index the policy dispatches on, and for churn runs the
+// failure-domain state.
+func newLoopState(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed uint64) *loopState {
 	st := &loopState{
-		speeds: w.speeds,
-		fr:     frand.New(seed, 0x5bd1e995),
-		res:    res,
-		warmup: warmup,
+		speeds:    w.speeds,
+		fr:        frand.New(seed, 0x5bd1e995),
+		res:       res,
+		warmup:    warmup,
+		workAware: w.workAware,
 	}
 	st.std = rand.New(st.fr)
-	pk := st.newPicker(p, w)
-	if pk == nil {
-		return nil
-	}
-	run := bindArr(st, w, pk)
-	if run == nil {
-		return nil
-	}
 	st.servers = make([]server, p.N)
 	for i := range st.servers {
 		st.servers[i].init(st.workAware)
@@ -139,15 +245,34 @@ func newTypedRunner(p sqd.Params, w wiring, warmup int64, res *stats.Stream, see
 			break
 		}
 	}
-	return &typedRunner{st: st, run: run}
+	if p.N >= minindex.Threshold {
+		// Sub-linear dispatch: global-argmin policies get a maintained
+		// min-index; below the threshold (and for O(d) policies) the
+		// reference scan wins. Selection changes the rng draw sequence,
+		// not the policy's law — results stay seed-deterministic.
+		switch w.policy.(type) {
+		case workload.JSQ:
+			st.lenTree = minindex.NewSeq(p.N)
+		case workload.LWL:
+			st.workTree = minindex.NewSeq(p.N)
+		}
+	}
+	if len(w.churn) > 0 {
+		st.churn = w.churn
+		st.down = make([]bool, p.N)
+		st.slow = make([]float64, p.N)
+		for i := range st.slow {
+			st.slow[i] = 1
+		}
+		st.rebuildLive()
+	}
+	return st
 }
 
-// newPicker resolves the policy to a concrete picker, creating the
-// min-index the indexed variants read. The selection mirrors
-// runInterfaceLoop's farm setup exactly: trees only at
-// N ≥ minindex.Threshold, scan pickers below.
+// newPicker resolves a built-in policy to its concrete picker over the
+// min-index newLoopState built for it, or returns nil for a
+// user-supplied policy.
 func (st *loopState) newPicker(p sqd.Params, w wiring) picker {
-	st.workAware = w.workAware
 	switch pol := w.policy.(type) {
 	case workload.SQD:
 		perm := make([]int, p.N)
@@ -156,14 +281,12 @@ func (st *loopState) newPicker(p sqd.Params, w wiring) picker {
 		}
 		return &sqdPick{d: pol.D, perm: perm}
 	case workload.JSQ:
-		if p.N >= minindex.Threshold {
-			st.lenTree = minindex.NewSeq(p.N)
+		if st.lenTree != nil {
 			return jsqTreePick{}
 		}
 		return jsqScanPick{}
 	case workload.LWL:
-		if p.N >= minindex.Threshold {
-			st.workTree = minindex.NewSeq(p.N)
+		if st.workTree != nil {
 			return lwlTreePick{}
 		}
 		return lwlScanPick{}
@@ -178,20 +301,10 @@ func (st *loopState) newPicker(p sqd.Params, w wiring) picker {
 }
 
 // bindArr resolves the arrival law and forwards to the service-law
-// resolution; together they pick the stenciled loop instantiation. The
-// paper's own wiring — Poisson arrivals, exponential service, SQ(d) — is
-// peeled off first onto runDefault, where the three per-event draws are
-// hand-inlined rather than stenciled: generic instantiations still route
-// method calls through their shape dictionaries, and on a loop this tight
-// the call frames alone are measurable.
+// resolution; together they pick the stenciled loop instantiation.
 func bindArr(st *loopState, w wiring, pk picker) func(int64) {
 	switch a := w.arrival.(type) {
 	case workload.Poisson:
-		if _, ok := w.service.(workload.Exponential); ok {
-			if sp, ok := pk.(*sqdPick); ok {
-				return func(jobs int64) { runDefault(st, w.rate, sp, jobs) }
-			}
-		}
 		return bindSvc(st, poissonArr{rate: w.rate}, w, pk)
 	case workload.DeterministicArrivals:
 		return bindSvc(st, constArr{gap: 1 / w.rate}, w, pk)
@@ -201,7 +314,11 @@ func bindArr(st *loopState, w wiring, pk picker) func(int64) {
 		p1, l1, l2 := a.Phases(w.rate)
 		return bindSvc(st, hyperArr{p: p1, l1: l1, l2: l2}, w, pk)
 	}
-	return nil
+	src, err := w.arrival.NewSource(w.rate)
+	if err != nil {
+		panic("sim: unresolved wiring: " + err.Error())
+	}
+	return bindSvc(st, ifaceArr{src: src, std: st.std}, w, pk)
 }
 
 func bindSvc[A arrSampler](st *loopState, arr A, w wiring, pk picker) func(int64) {
@@ -215,32 +332,35 @@ func bindSvc[A arrSampler](st *loopState, arr A, w wiring, pk picker) func(int64
 	case workload.BoundedPareto:
 		return bindLoop(st, arr, paretoSvc{p: s}, pk)
 	}
-	return nil
+	return bindLoop(st, arr, ifaceSvc{svc: w.service, std: st.std}, pk)
 }
 
 func bindLoop[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker) func(int64) {
 	return func(jobs int64) { runTyped(st, arr, svc, pk, jobs) }
 }
 
-// runTyped is the devirtualized event loop: structurally the interface
-// loop (runInterfaceLoop) with every hot call concrete — arrival and
-// service draws are stenciled per law pair, the tracker is the inline
-// 4-ary heap, pickers read the server slice directly, and the per-event
-// max-queue bookkeeping folds into the stream once per run call instead
-// of per arrival. Bit-identity with the interface loop across the whole
-// built-in workload matrix is pinned by TestTypedLoopMatchesInterfaceLoop;
-// the same property for the default wiring is pinned against the captured
-// pre-workload goldens by TestDefaultWorkloadBitIdentical.
+// runTyped is the simulator's event loop, stenciled per (arrival,
+// service) sampler pair so every draw is a direct call; the picker is
+// one indirect call per arrival. Three event sources race: the next
+// arrival, the tracker's earliest completion, and the next churn event,
+// which wins ties with both (churnAt is +Inf on churn-free runs, so the
+// churn check costs one compare). The per-event max-queue bookkeeping
+// folds into the stream once per run call instead of per arrival.
+// TestDefaultWorkloadBitIdentical pins the paper's wiring against the
+// pre-workload goldens; TestWiringGoldens and TestChurnGoldens pin the
+// whole built-in matrix and the churn matrix.
+//
 //finitelb:hotpath
 func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker, jobs int64) {
 	servers := st.servers
 	qlen := st.qlen
-	speeds := st.speeds
 	fr := st.fr
 	trk := st.trk
 	res := st.res
 	workAware := st.workAware
-	unit := st.unit
+	// plain: service durations are the raw requirements (unit speeds, no
+	// slow factors), so svcTime is skipped.
+	plain := st.unit && st.slow == nil
 	lenTree, workTree := st.lenTree, st.workTree
 	tr := st.tr
 	if !st.started {
@@ -251,12 +371,19 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 	departed := st.departed
 	measured := st.measured
 	maxQ := st.maxQueue
+	churnAt := st.nextChurn()
 
 	// The (min, argmin) pair is live across iterations and re-read only
 	// after a tracker update: arrivals to busy servers — the bulk of all
 	// events — leave the tracker untouched.
 	minC, minI := trk.min()
 	for measured < jobs {
+		if churnAt <= minC && churnAt <= nextArrival {
+			applyChurn(st, svc, pk)
+			churnAt = st.nextChurn()
+			minC, minI = trk.min()
+			continue
+		}
 		if nextArrival <= minC {
 			now := nextArrival
 			nextArrival = now + arr.next(fr)
@@ -273,8 +400,8 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 				qlen[best] = l
 				if l == 1 {
 					x := req
-					if !unit {
-						x /= speeds[best]
+					if !plain {
+						x = st.svcTime(best, x)
 					}
 					sv.completion = now + x
 					trk.update(best, sv.completion)
@@ -302,14 +429,14 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 				qlen[best] = l
 				if l == 1 {
 					x := svc.sample(fr)
-					if !unit {
-						x /= speeds[best]
+					if !plain {
+						x = st.svcTime(best, x)
 					}
 					trk.update(best, now+x)
 					minC, minI = trk.min()
 				}
 				if lenTree != nil {
-					lenTree.Update(best, float64(l))
+					st.noteLen(best)
 				}
 				if int(l) > maxQ {
 					maxQ = int(l)
@@ -330,8 +457,8 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 				req := sv.workFront()
 				sv.pending -= req
 				x := req
-				if !unit {
-					x /= speeds[minI]
+				if !plain {
+					x = st.svcTime(minI, x)
 				}
 				sv.completion = now + x
 			} else {
@@ -344,153 +471,16 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 		} else {
 			if l > 0 {
 				x := svc.sample(fr)
-				if !unit {
-					x /= speeds[minI]
+				if !plain {
+					x = st.svcTime(minI, x)
 				}
 				trk.update(minI, now+x)
 			} else {
 				trk.update(minI, math.Inf(1))
 			}
 			if lenTree != nil {
-				lenTree.Update(minI, float64(l))
+				st.noteLen(minI)
 			}
-		}
-		if tr != nil {
-			tr.onDeparture(now, minI)
-		}
-		minC, minI = trk.min()
-		departed++
-		if departed > st.warmup {
-			st.buf[st.bufn] = now - arrivedAt
-			st.bufn++
-			if st.bufn == len(st.buf) {
-				res.AddBatch(st.buf[:])
-				st.bufn = 0
-			}
-			measured++
-		}
-	}
-
-	st.nextArrival = nextArrival
-	st.departed = departed
-	st.measured = measured
-	st.maxQueue = maxQ
-	st.flush()
-	res.ObserveQueue(maxQ)
-}
-
-// runDefault is the typed loop hand-specialized to the paper's wiring —
-// Poisson arrivals, exponential service, SQ(d) dispatch, any speeds. It
-// is runTyped's non-work-aware body with the three per-event draws and
-// the partial Fisher–Yates pick written inline (no sampler or picker
-// call at all), because this one wiring carries the bulk of every sweep
-// the repository runs. It must stay draw-for-draw identical to the
-// generic loop; TestTypedLoopMatchesInterfaceLoop's "default" and
-// "sqd-het" wirings pin it against the interface loop, and
-// TestDefaultWorkloadBitIdentical pins it against the pre-workload
-// goldens.
-//finitelb:hotpath
-func runDefault(st *loopState, lamN float64, pk *sqdPick, jobs int64) {
-	servers := st.servers
-	qlen := st.qlen
-	speeds := st.speeds
-	fr := st.fr
-	trk := st.trk
-	res := st.res
-	unit := st.unit
-	tr := st.tr
-	perm := pk.perm
-	d := pk.d
-	n := len(perm)
-	if !st.started {
-		st.nextArrival = fr.ExpFloat64() / lamN
-		st.started = true
-	}
-	nextArrival := st.nextArrival
-	departed := st.departed
-	measured := st.measured
-	maxQ := st.maxQueue
-
-	// See runTyped: (min, argmin) stays in registers between tracker
-	// updates.
-	minC, minI := trk.min()
-	for measured < jobs {
-		if nextArrival <= minC {
-			now := nextArrival
-			nextArrival = now + fr.ExpFloat64()/lamN
-			// SQ(d): partial Fisher–Yates over d distinct servers, keeping
-			// the least loaded with uniform reservoir tie-breaking. The
-			// paper's d = 2 is unrolled; draws match the general loop
-			// exactly (no tie draw on the first candidate, one IntN(2) on
-			// an exact tie).
-			var best int
-			tiesSeen := 1
-			if d == 2 {
-				j := fr.IntN(n)
-				perm[0], perm[j] = perm[j], perm[0]
-				s0 := perm[0]
-				j = 1 + fr.IntN(n-1)
-				perm[1], perm[j] = perm[j], perm[1]
-				s1 := perm[1]
-				best = s0
-				l0, l1 := qlen[s0], qlen[s1]
-				if l1 < l0 || (l1 == l0 && fr.IntN(2) == 0) {
-					best = s1
-				}
-				if l0 == l1 {
-					tiesSeen = 2
-				}
-			} else {
-				bestLen, ties := int32(math.MaxInt32), 0
-				best = -1
-				for k := 0; k < d; k++ {
-					j := k + fr.IntN(n-k)
-					perm[k], perm[j] = perm[j], perm[k]
-					s := perm[k]
-					switch l := qlen[s]; {
-					case l < bestLen:
-						best, bestLen, ties = s, l, 1
-					case l == bestLen:
-						ties++
-						if fr.IntN(ties) == 0 {
-							best = s
-						}
-					}
-				}
-				tiesSeen = ties
-			}
-			servers[best].push(now)
-			l := qlen[best] + 1
-			qlen[best] = l
-			if l == 1 {
-				x := fr.ExpFloat64()
-				if !unit {
-					x /= speeds[best]
-				}
-				trk.update(best, now+x)
-				minC, minI = trk.min()
-			}
-			if int(l) > maxQ {
-				maxQ = int(l)
-			}
-			if tr != nil {
-				tr.onArrival(now, best, int(l-1), tiesSeen)
-			}
-			continue
-		}
-		sv := &servers[minI]
-		now := minC
-		arrivedAt := sv.pop()
-		l := qlen[minI] - 1
-		qlen[minI] = l
-		if l > 0 {
-			x := fr.ExpFloat64()
-			if !unit {
-				x /= speeds[minI]
-			}
-			trk.update(minI, now+x)
-		} else {
-			trk.update(minI, math.Inf(1))
 		}
 		if tr != nil {
 			tr.onDeparture(now, minI)

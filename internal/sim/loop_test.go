@@ -6,11 +6,10 @@ import (
 
 	"finitelb/internal/frand"
 	"finitelb/internal/sqd"
-	"finitelb/internal/stats"
 	"finitelb/internal/workload"
 )
 
-// The typed loop re-derives every built-in law and policy as concrete
+// The event loop re-derives every built-in law and policy as concrete
 // code; these tests pin each re-derivation — and the whole loop — to the
 // interface implementations, draw for draw.
 
@@ -41,28 +40,29 @@ func testWirings(t *testing.T) map[string]testWiring {
 	}
 }
 
-// runInterfaceStream mirrors runStream's fallback arm unconditionally:
-// the interface loop over the same frand-backed stream. Sketch tail, like
-// runStream's default — so typed-vs-interface equality also pins that the
-// batched sketch arm (AddBatch) and the per-observation one (Add) land in
-// identical sketch states.
-func runInterfaceStream(p sqd.Params, w wiring, jobs, warmup, batchSize int64, seed uint64) *stats.Stream {
-	res := newSimStream(batchSize, TailSketch)
-	rng := rand.New(frand.New(seed, 0x5bd1e995))
-	servers := make([]server, p.N)
-	for i := range servers {
-		servers[i].init(w.workAware)
+// newAdapterRunner builds the reference side of the equivalence tests:
+// the event loop with every piece of the wiring forced onto the workload
+// adapters (ifaceArr, ifaceSvc, ifacePick), so each draw and pick goes
+// through the workload interface implementations on st.std. Sketch
+// tail, like runStream's default.
+func newAdapterRunner(t *testing.T, p sqd.Params, w wiring, warmup, batchSize int64, seed uint64) *typedRunner {
+	t.Helper()
+	st := newLoopState(p, w, warmup, newSimStream(batchSize, TailSketch), seed)
+	src, err := w.arrival.NewSource(w.rate)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, heavy := w.service.(workload.BoundedPareto)
-	runInterfaceLoop(p, w, servers, newTrackerFor(p.N, heavy), rng, res, jobs, warmup, nil)
-	return res
+	arr := ifaceArr{src: src, std: st.std}
+	run := bindLoop(st, arr, ifaceSvc{svc: w.service, std: st.std}, newIfacePick(p, w))
+	return &typedRunner{st: st, run: run}
 }
 
 // TestTypedLoopMatchesInterfaceLoop is the overhaul's master regression:
 // for every built-in wiring, at sizes below and above the minindex
-// threshold (so scan and tree pickers are both exercised), the typed
-// loop and the interface loop must produce bit-identical Results — same
-// draws, same arithmetic, different dispatch cost only.
+// threshold (so scan and tree pickers are both exercised), the concrete
+// samplers and pickers and the workload-interface adapters must produce
+// bit-identical Results — same draws, same arithmetic, different
+// dispatch cost only.
 func TestTypedLoopMatchesInterfaceLoop(t *testing.T) {
 	for name, tw := range testWirings(t) {
 		// 6: linear tracker + scan pickers; 100: tournament tracker +
@@ -84,14 +84,16 @@ func TestTypedLoopMatchesInterfaceLoop(t *testing.T) {
 				t.Fatalf("%s/N=%d: %v", name, n, err)
 			}
 			tr := newTypedRunner(p, w, o.Warmup, newSimStream(o.BatchSize, TailSketch), o.Seed)
-			if tr == nil {
-				t.Fatalf("%s/N=%d: built-in wiring did not resolve onto the typed loop", name, n)
+			if tr.st.newPicker(p, w) == nil {
+				t.Fatalf("%s/N=%d: built-in policy did not resolve onto a concrete picker", name, n)
 			}
 			tr.run(o.Jobs)
 			typed := result(tr.st.res)
-			iface := result(runInterfaceStream(p, w, o.Jobs, o.Warmup, o.BatchSize, o.Seed))
+			ref := newAdapterRunner(t, p, w, o.Warmup, o.BatchSize, o.Seed)
+			ref.run(o.Jobs)
+			iface := result(ref.st.res)
 			if typed != iface {
-				t.Errorf("%s/N=%d: typed loop diverged from interface loop:\ntyped %+v\niface %+v", name, n, typed, iface)
+				t.Errorf("%s/N=%d: concrete pieces diverged from the workload adapters:\ntyped %+v\niface %+v", name, n, typed, iface)
 			}
 		}
 	}
@@ -154,17 +156,6 @@ func TestSamplersMatchWorkload(t *testing.T) {
 	}
 }
 
-// queuesOverState adapts a loopState to workload.Queues/WorkQueues so
-// the interface pickers can be driven against the same farm the sim
-// pickers read.
-type queuesOverState struct{ st *loopState }
-
-func (q queuesOverState) N() int        { return len(q.st.qlen) }
-func (q queuesOverState) Len(i int) int { return int(q.st.qlen[i]) }
-func (q queuesOverState) Work(i int) float64 {
-	return q.st.workAt(i)
-}
-
 // TestPickersMatchWorkload drives each scan picker pair — concrete sim
 // picker vs interface workload picker — through randomized farm states
 // with shared-seed generators, comparing every routing decision. Tree
@@ -210,7 +201,6 @@ func TestPickersMatchWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := tc.mkPk(st)
-		q := queuesOverState{st: st}
 		for step := 0; step < 20_000; step++ {
 			// Randomize the farm: lengths, and for LWL the work state.
 			for i := 0; i < n; i++ {
@@ -226,7 +216,7 @@ func TestPickersMatchWorkload(t *testing.T) {
 				}
 			}
 			st.now = float64(step) * 0.01
-			a := wp.Pick(stdPick, q)
+			a := wp.Pick(stdPick, st) // loopState is the farm view
 			b := sp.pick(st)
 			if a != b {
 				t.Fatalf("%s step %d: interface picker chose %d, sim picker chose %d", tc.name, step, a, b)
@@ -236,35 +226,44 @@ func TestPickersMatchWorkload(t *testing.T) {
 }
 
 // TestExoticWiringFallsBack: user-supplied implementations of the
-// workload interfaces must decline the typed loop and still produce
-// bit-identical results through the interface loop when they delegate to
-// a built-in law.
+// workload interfaces fall back from the concrete samplers and pickers
+// to the workload adapters, and must still produce bit-identical results
+// when they delegate to a built-in law — one piece at a time and all
+// three at once.
 func TestExoticWiringFallsBack(t *testing.T) {
 	p := sqd.Params{N: 12, D: 2, Rho: 0.8}
 	builtin, err := Run(p, Options{Jobs: 5000, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exotic, err := Run(p, Options{Jobs: 5000, Seed: 31, Arrival: wrappedPoisson{}})
-	if err != nil {
-		t.Fatal(err)
+	for name, o := range map[string]Options{
+		"arrival": {Arrival: wrappedPoisson{}},
+		"service": {Service: wrappedExp{}},
+		"policy":  {Policy: wrappedSQD{}},
+		"all":     {Arrival: wrappedPoisson{}, Service: wrappedExp{}, Policy: wrappedSQD{}},
+	} {
+		o.Jobs, o.Seed = 5000, 31
+		exotic, err := Run(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if builtin != exotic {
+			t.Errorf("%s: exotic delegating wiring drifted from built-in:\nexotic  %+v\nbuiltin %+v", name, exotic, builtin)
+		}
 	}
-	if builtin != exotic {
-		t.Errorf("exotic delegating wiring drifted from built-in:\nexotic  %+v\nbuiltin %+v", exotic, builtin)
-	}
-	o := Options{Jobs: 5000, Seed: 31, Arrival: wrappedPoisson{}}
+	o := Options{Policy: wrappedSQD{}}
 	o.setDefaults()
 	w, err := resolve(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := newTypedRunner(p, w, o.Warmup, newSimStream(o.BatchSize, TailSketch), o.Seed); tr != nil {
-		t.Error("exotic arrival resolved onto the typed loop")
+	if pk := newTypedRunner(p, w, 0, newSimStream(1, TailSketch), 1).st.newPicker(p, w); pk != nil {
+		t.Errorf("exotic policy resolved onto concrete picker %T", pk)
 	}
 }
 
 // wrappedPoisson is an "exotic" arrival process that happens to delegate
-// to Poisson — unknown type to the typed resolver, identical draws.
+// to Poisson — unknown type to the resolver, identical draws.
 type wrappedPoisson struct{}
 
 func (wrappedPoisson) NewSource(rate float64) (workload.Source, error) {
@@ -272,11 +271,20 @@ func (wrappedPoisson) NewSource(rate float64) (workload.Source, error) {
 }
 func (wrappedPoisson) String() string { return "wrapped-poisson" }
 
+// wrappedExp is an exotic service law delegating to Exponential.
+type wrappedExp struct{ workload.Exponential }
+
+// wrappedSQD is an exotic policy delegating to SQ(2).
+type wrappedSQD struct{}
+
+func (wrappedSQD) NewPicker(n int) (workload.Picker, error) { return workload.SQD{D: 2}.NewPicker(n) }
+func (wrappedSQD) String() string                           { return "wrapped-sqd" }
+
 // TestTrackerModeInvariance pins tracker.go's contract at loop level:
 // the tracker mode changes only the cost of finding the next completion,
 // never the draws — a full run on the production mode (calendar at this
 // size) must be bit-identical to the same run forced onto the tournament
-// tree and the 4-ary heap contender is covered by the property test.
+// tree.
 func TestTrackerModeInvariance(t *testing.T) {
 	p := sqd.Params{N: 600, D: 2, Rho: 0.9}
 	for name, opts := range map[string]Options{
@@ -329,8 +337,9 @@ func TestTypedChunkedRuns(t *testing.T) {
 }
 
 // TestAllocFreeEventPath is the allocation-regression guard of the
-// tentpole: after warmup (rings grown, buffers sized), the default and
-// the work-aware typed event paths must run allocation-free. BatchSize
+// event loop: after warmup (rings grown, buffers sized), the default,
+// indexed, work-aware and churn-configured event paths must run
+// allocation-free. BatchSize
 // exceeds the measured jobs so no batch-means append lands mid-chunk,
 // and the histogram/ring growth all happens in the warm phase.
 func TestAllocFreeEventPath(t *testing.T) {
@@ -352,6 +361,9 @@ func TestAllocFreeEventPath(t *testing.T) {
 		"lwl-work-aware":     {Options{Seed: 3, Service: pareto, Policy: workload.LWL{}}, 100},
 		"jsq-indexed-10k":    {Options{Seed: 3, Policy: workload.JSQ{}}, 10_000},
 		"lwl-work-aware-10k": {Options{Seed: 3, Service: pareto, Policy: workload.LWL{}}, 10_000},
+		// A churn schedule that never fires: the workload-picker adapter
+		// plus the churn check, with no membership change.
+		"churn-never-firing": {Options{Seed: 3, Churn: churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: 1e18, Server: 0})}, 100},
 	} {
 		p := sqd.Params{N: tc.n, D: 2, Rho: 0.9}
 		opts := tc.opts
@@ -363,9 +375,6 @@ func TestAllocFreeEventPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := newTypedRunner(p, w, 0, newSimStream(opts.BatchSize, opts.Tail), opts.Seed)
-		if tr == nil {
-			t.Fatalf("%s: wiring did not resolve onto the typed loop", name)
-		}
 		jobs := int64(50_000) // warm: grow rings, touch tail-estimator state
 		tr.run(jobs)
 		const chunk = 10_000

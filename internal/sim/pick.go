@@ -1,8 +1,13 @@
 package sim
 
-import "math"
+import (
+	"math"
 
-// The typed loop's pickers are concrete re-derivations of the
+	"finitelb/internal/sqd"
+	"finitelb/internal/workload"
+)
+
+// The event loop's pickers are concrete re-derivations of the
 // internal/workload pickers, specialized to the simulator's own farm
 // state: queue lengths and backlogs are read straight off the server
 // slice (inlined), rng draws come from the concrete frand generator, and
@@ -13,7 +18,8 @@ import "math"
 // loop equivalence tests pin end to end.
 //
 // pick is one indirect call per arrival (the pickers are held as this
-// interface); everything inside is concrete.
+// interface); everything inside is concrete, except in ifacePick, the
+// adapter for user-supplied policies and churn runs.
 type picker interface {
 	pick(st *loopState) int
 }
@@ -49,12 +55,37 @@ func (pk *sqdPick) lastTies() int { return int(pk.ties) }
 func (pk *sqdPick) pick(st *loopState) int {
 	fr := st.fr
 	qlen := st.qlen
-	n := len(pk.perm)
+	perm := pk.perm
+	n := len(perm)
+	if pk.d == 2 {
+		// The paper's d = 2, unrolled: the same draws as the general loop
+		// below (no tie draw on the first candidate, one IntN(2) on an
+		// exact tie).
+		j := fr.IntN(n)
+		perm[0], perm[j] = perm[j], perm[0]
+		s0 := perm[0]
+		j = 1 + fr.IntN(n-1)
+		perm[1], perm[j] = perm[j], perm[1]
+		s1 := perm[1]
+		l0, l1 := qlen[s0], qlen[s1]
+		pk.ties = 1
+		if l0 == l1 {
+			pk.ties = 2
+			if fr.IntN(2) == 0 {
+				return s1
+			}
+			return s0
+		}
+		if l1 < l0 {
+			return s1
+		}
+		return s0
+	}
 	best, bestLen, ties := -1, int32(math.MaxInt32), int32(0)
 	for k := 0; k < pk.d; k++ {
 		j := k + fr.IntN(n-k)
-		pk.perm[k], pk.perm[j] = pk.perm[j], pk.perm[k]
-		s := pk.perm[k]
+		perm[k], perm[j] = perm[j], perm[k]
+		s := perm[k]
 		switch l := qlen[s]; {
 		case l < bestLen:
 			best, bestLen, ties = s, l, 1
@@ -181,3 +212,37 @@ type randPick struct{ n int }
 
 //finitelb:hotpath
 func (pk randPick) pick(st *loopState) int { return st.fr.IntN(pk.n) }
+
+// ifacePick dispatches through a workload.Picker over the loopState
+// farm view, drawing on st.std. It serves user-supplied policies and
+// every policy of a churn run: there the view reads down servers as
+// MaxInt32 / +Inf, SQ(d) (sqdD > 0) samples among the survivors while
+// any server is down, and a pick that still lands on a down server (a
+// policy that ignores lengths) probes on to the next live one. On
+// churn-free runs downCnt stays 0 and the workload picker runs alone.
+type ifacePick struct {
+	p    workload.Picker
+	sqdD int
+}
+
+// newIfacePick instantiates the wiring's workload picker; resolve has
+// already validated it.
+func newIfacePick(p sqd.Params, w wiring) ifacePick {
+	wp, err := w.policy.NewPicker(p.N)
+	if err != nil {
+		panic("sim: unresolved wiring: " + err.Error())
+	}
+	return ifacePick{p: wp, sqdD: w.sqdD}
+}
+
+//finitelb:hotpath
+func (pk ifacePick) pick(st *loopState) int {
+	if st.downCnt > 0 && pk.sqdD > 0 {
+		return st.pickSQDLive(pk.sqdD)
+	}
+	best := pk.p.Pick(st.std, st)
+	if st.downCnt > 0 && st.down[best] {
+		best = st.nextAlive(best)
+	}
+	return best
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand/v2"
+
 	"finitelb/internal/frand"
 	"finitelb/internal/workload"
 )
@@ -14,6 +16,7 @@ import (
 // equivalence tests pin whole runs. The samplers are value structs so the
 // generic loop stencils a dedicated instantiation per (arrival, service)
 // pair, turning every draw into a direct — mostly inlined — call.
+// User-supplied laws ride the same loop through ifaceArr and ifaceSvc.
 
 // arrSampler is the generic constraint for interarrival samplers.
 type arrSampler interface {
@@ -88,3 +91,21 @@ func (s erlangSvc) sample(fr *frand.RNG) float64 {
 type paretoSvc struct{ p workload.BoundedPareto }
 
 func (s paretoSvc) sample(fr *frand.RNG) float64 { return s.p.Quantile(fr.Float64()) }
+
+// ifaceArr adapts a user-supplied arrival process: each draw goes
+// through the workload.Source on std, the *rand.Rand over the loop's
+// own generator, so its draws interleave on the stream's one sequence.
+type ifaceArr struct {
+	src workload.Source
+	std *rand.Rand
+}
+
+func (a ifaceArr) next(*frand.RNG) float64 { return a.src.Next(a.std) }
+
+// ifaceSvc adapts a user-supplied service law the same way.
+type ifaceSvc struct {
+	svc workload.Service
+	std *rand.Rand
+}
+
+func (s ifaceSvc) sample(*frand.RNG) float64 { return s.svc.Sample(s.std) }

@@ -28,11 +28,9 @@ func TestDefaultWorkloadBitIdentical(t *testing.T) {
 	} {
 		// Three routes to the same bits: everything defaulted, the default
 		// pieces spelled out explicitly, and an explicit all-ones speed
-		// vector. All three now resolve onto the specialized default loop
-		// (the speed vector historically forced the interface loop, which
-		// is pinned to the same draws by TestTypedLoopMatchesInterfaceLoop
-		// and TestExoticWiringFallsBack); the third route keeps the
-		// division-by-speed arm on the golden trajectory. TailHistogram
+		// vector. All three resolve onto the same concrete samplers and
+		// SQ(d) picker; the third route pins the unit-fleet detection
+		// that skips the division by speed. TailHistogram
 		// pins the quantile estimator the goldens were captured with (the
 		// sketch default changes only the P* fields, never the draws — the
 		// sketch-route check below proves that).

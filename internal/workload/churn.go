@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,10 +109,11 @@ const churnGrammar = "grammar: KIND@t=T[@s=SERVER][@f=FACTOR][@d=DUR], events co
 //	"crash@500@s=2,slow@t=300@s=1@f=4"      bare first value is t
 //
 // Event arguments are @-separated (the comma separates events): t is the
-// event time in mean service times (required, ≥ 0), s the target server
-// (optional; unassigned events are picked deterministically by
-// internal/chaos.Resolve), f the slow factor (> 0, slow only), d the
-// stall duration (> 0, stall only). Events are sorted by t, stably.
+// event time in mean service times (required, finite, ≥ 0), s the target
+// server (optional; unassigned events are picked deterministically by
+// internal/chaos.Resolve), f the slow factor (finite, > 0, slow only), d
+// the stall duration (finite, > 0, stall only). Events are sorted by t,
+// stably.
 func ParseChurn(spec string) (*Churn, error) {
 	spec = strings.TrimSpace(spec)
 	spec = strings.TrimPrefix(spec, "churn:")
@@ -169,8 +171,8 @@ func parseChurnEvent(raw string) (ChurnEvent, error) {
 		switch key {
 		case "t":
 			t, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(t >= 0) {
-				return ev, fmt.Errorf("t=%q is not a time ≥ 0", val)
+			if err != nil || !(t >= 0) || math.IsInf(t, 1) {
+				return ev, fmt.Errorf("t=%q is not a finite time ≥ 0", val)
 			}
 			ev.T = t
 		case "s":
@@ -184,8 +186,8 @@ func parseChurnEvent(raw string) (ChurnEvent, error) {
 				return ev, fmt.Errorf("argument f only applies to slow events")
 			}
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(f > 0) {
-				return ev, fmt.Errorf("f=%q is not a factor > 0", val)
+			if err != nil || !(f > 0) || math.IsInf(f, 1) {
+				return ev, fmt.Errorf("f=%q is not a finite factor > 0", val)
 			}
 			ev.Factor = f
 		case "d":
@@ -193,8 +195,8 @@ func parseChurnEvent(raw string) (ChurnEvent, error) {
 				return ev, fmt.Errorf("argument d only applies to stall events")
 			}
 			d, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(d > 0) {
-				return ev, fmt.Errorf("d=%q is not a duration > 0", val)
+			if err != nil || !(d > 0) || math.IsInf(d, 1) {
+				return ev, fmt.Errorf("d=%q is not a finite duration > 0", val)
 			}
 			ev.Dur = d
 		default:

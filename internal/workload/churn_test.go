@@ -76,20 +76,27 @@ func TestParseChurnRoundTrip(t *testing.T) {
 
 func TestParseChurnErrors(t *testing.T) {
 	for _, spec := range []string{
-		"explode@t=1",     // unknown kind
-		"crash",           // missing t
-		"crash@t=-1",      // negative time
-		"crash@t=x",       // non-numeric time
-		"crash@t=1@s=-2",  // negative server
-		"crash@t=1@q=3",   // unknown key
-		"crash@t=1@t=2",   // duplicate key
-		"slow@t=1",        // slow without factor
-		"slow@t=1@f=0",    // non-positive factor
-		"stall@t=1",       // stall without duration
-		"crash@t=1@f=2",   // f on a non-slow event
-		"crash@t=1@d=2",   // d on a non-stall event
-		"pause@t=1@s=0",   // pause takes no server
-		"crash@t=1@1@s=2", // bare value not in first position
+		"explode@t=1",      // unknown kind
+		"crash",            // missing t
+		"crash@t=-1",       // negative time
+		"crash@t=nan",      // NaN time (would never fire)
+		"crash@inf",        // infinite time
+		"crash@t=+Inf",     // infinite time, signed spelling
+		"crash@t=x",        // non-numeric time
+		"crash@t=1@s=-2",   // negative server
+		"crash@t=1@q=3",    // unknown key
+		"crash@t=1@t=2",    // duplicate key
+		"slow@t=1",         // slow without factor
+		"slow@t=1@f=0",     // non-positive factor
+		"slow@t=1@f=-1",    // negative factor
+		"slow@5@s=1@f=inf", // infinite factor
+		"slow@t=1@f=NaN",   // NaN factor
+		"stall@t=1@d=inf",  // infinite duration
+		"stall@t=1",        // stall without duration
+		"crash@t=1@f=2",    // f on a non-slow event
+		"crash@t=1@d=2",    // d on a non-stall event
+		"pause@t=1@s=0",    // pause takes no server
+		"crash@t=1@1@s=2",  // bare value not in first position
 	} {
 		if _, err := ParseChurn(spec); err == nil {
 			t.Errorf("ParseChurn(%q) accepted", spec)

@@ -77,3 +77,46 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseChurn drives the churn-schedule parser with arbitrary specs:
+// it must never panic, every accepted event must carry a finite time
+// ≥ 0 (and, on slow events, a finite factor > 0; on stall events a
+// finite duration > 0), and the canonical String() rendering must
+// re-parse to exactly the same events. Seed corpus in
+// testdata/fuzz/FuzzParseChurn, built from the grammar examples.
+func FuzzParseChurn(f *testing.F) {
+	f.Add("churn:crash@t=500,restore@t=900")
+	f.Add("crash@500@s=2,slow@t=300@s=1@f=4")
+	f.Add("join@900@s=3,slow@t=100@s=1@f=4,stall@200@d=50,crash@0")
+	f.Add("leave@1,pause@2,resume@3")
+	f.Add("crash@inf,slow@5@s=1@f=inf,crash@t=nan")
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseChurn(spec)
+		if err != nil || c == nil {
+			return
+		}
+		for _, ev := range c.Events {
+			if !(ev.T >= 0) || math.IsInf(ev.T, 1) {
+				t.Fatalf("ParseChurn(%q) accepted time %v", spec, ev.T)
+			}
+			if ev.Kind == ChurnSlow && (!(ev.Factor > 0) || math.IsInf(ev.Factor, 1)) {
+				t.Fatalf("ParseChurn(%q) accepted slow factor %v", spec, ev.Factor)
+			}
+			if ev.Kind == ChurnStall && (!(ev.Dur > 0) || math.IsInf(ev.Dur, 1)) {
+				t.Fatalf("ParseChurn(%q) accepted stall duration %v", spec, ev.Dur)
+			}
+		}
+		again, err := ParseChurn(c.String())
+		if err != nil {
+			t.Fatalf("ParseChurn(%q).String() = %q does not re-parse: %v", spec, c.String(), err)
+		}
+		if again == nil || len(again.Events) != len(c.Events) {
+			t.Fatalf("ParseChurn(%q): re-parse of %q changed the event count", spec, c.String())
+		}
+		for i := range c.Events {
+			if again.Events[i] != c.Events[i] {
+				t.Fatalf("ParseChurn(%q): event %d re-parsed as %+v, want %+v", spec, i, again.Events[i], c.Events[i])
+			}
+		}
+	})
+}

@@ -6,8 +6,8 @@
 # counts. The sim counterpart of bench_lb.sh/BENCH_lb.json — rerun after
 # touching the event core and diff.
 #
-# Axes: BenchmarkSimJobs covers {fast, fast-hist, pluggable-default,
-# jsq-indexed, lwl-work-aware} × N ∈ {10, 250, 1000, 10000} at ρ = 0.9,
+# Axes: BenchmarkSimJobs covers {fast, fast-hist, jsq-indexed,
+# lwl-work-aware} × N ∈ {10, 250, 1000, 10000} at ρ = 0.9,
 # d = 2 — fast vs fast-hist is the sketch-vs-histogram tail-estimator
 # axis, and the state_bytes memory column records each configuration's
 # measurement-stream footprint. The pre-overhaul baseline
